@@ -47,14 +47,22 @@ class _RecvState(Enum):
 
 
 class TltWindowSender:
-    """Sender-side TLT controller; attach via :func:`attach_window_tlt`."""
+    """Sender-side TLT controller; attach via :func:`attach_window_tlt`.
+
+    The byte-stream sender calls :meth:`on_ack` on every ACK, but
+    :meth:`on_ack_post` only while ``pending_echo_ts`` is set and
+    :meth:`after_ack` only while ``state is IMPORTANT``: both would
+    return at once otherwise.
+    """
+
+    IMPORTANT = _SendState.IMPORTANT
 
     def __init__(self, sender: ByteStreamSender, config: TltConfig, stats: NetStats):
         self.sender = sender
         self.config = config
         self.stats = stats
         self.state = _SendState.IMPORTANT  # mark the initial window's tail
-        self._pending_echo_ts: Optional[int] = None
+        self.pending_echo_ts: Optional[int] = None
         sender.tlt = self
 
     # -- transmit-side hooks -----------------------------------------------------
@@ -101,7 +109,7 @@ class TltWindowSender:
             # The echo's timestamp is the important packet's send time:
             # everything sent up to then and still outstanding is lost
             # (FIFO paths — anything older must have arrived earlier).
-            self._pending_echo_ts = packet.ts_echo
+            self.pending_echo_ts = packet.ts_echo
         elif packet.mark == TltMark.IMPORTANT_CLOCK_ECHO:
             self.state = _SendState.IMPORTANT
             if packet.ack <= self.sender.snd_una:
@@ -113,16 +121,16 @@ class TltWindowSender:
                 self.sender.try_send()
                 self.after_ack()
                 return False
-            self._pending_echo_ts = packet.ts_echo
+            self.pending_echo_ts = packet.ts_echo
         return True
 
     def on_ack_post(self, packet: Packet) -> None:
         """Runs after cumulative ACK/SACK were applied, before recovery
         decisions — performs echo-based loss detection."""
-        if self._pending_echo_ts is None:
+        if self.pending_echo_ts is None:
             return
-        boundary = self._pending_echo_ts
-        self._pending_echo_ts = None
+        boundary = self.pending_echo_ts
+        self.pending_echo_ts = None
         self.sender.mark_lost_sent_before(boundary)
 
     def after_ack(self) -> None:
@@ -152,7 +160,15 @@ class TltWindowSender:
 
 
 class TltWindowReceiver:
-    """Receiver-side TLT controller: generates the Echo marks."""
+    """Receiver-side TLT controller: generates the Echo marks.
+
+    The byte-stream receiver calls :meth:`on_data` only for marked data
+    and :meth:`mark_ack` only while ``state is not IDLE``: an unmarked
+    packet leaves the state alone, and an idle ACK keeps its green
+    control mark.
+    """
+
+    IDLE = _RecvState.IDLE
 
     def __init__(self, receiver: ByteStreamReceiver, stats: NetStats):
         self.receiver = receiver

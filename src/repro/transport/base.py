@@ -3,8 +3,9 @@
 :class:`ByteStreamSender` / :class:`ByteStreamReceiver` implement the
 mechanics every TCP-family transport shares: a segment scoreboard with
 SACK, dup-ACK-threshold-1 early retransmit, Linux-style RTO handling
-with exponential backoff, and NewReno-style recovery. Congestion
-control variants (Reno, DCTCP) override the ``cc_*`` hooks.
+with exponential backoff, and NewReno-style recovery. Reno window
+growth is built into the ACK path; congestion control variants (DCTCP)
+override the ``cc_*`` hooks.
 
 TLT hooks (``tlt`` on the sender, ``tlt_rx`` on the receiver) are
 optional objects provided by :mod:`repro.core.window`; when absent the
@@ -119,7 +120,6 @@ class Segment:
         "retx_count",
         "first_tx_ns",
         "last_tx_ns",
-        "delivered",
     )
 
     def __init__(self, start: int, end: int):
@@ -133,7 +133,6 @@ class Segment:
         self.retx_count = 0
         self.first_tx_ns = -1
         self.last_tx_ns = -1
-        self.delivered = False  # delivery-time sample recorded
 
     def __repr__(self) -> str:  # pragma: no cover
         flags = "".join(
@@ -177,7 +176,7 @@ class ByteStreamReceiver:
             # bookkeeping is done at rx.
             return
         tlt_rx = self.tlt_rx
-        if tlt_rx is not None:
+        if tlt_rx is not None and packet.mark is not TltMark.NONE:
             tlt_rx.on_data(packet)
         buffer = self.buffer
         buffer.on_data(packet.seq, packet.payload)
@@ -188,7 +187,7 @@ class ByteStreamReceiver:
                 self.record.end_rx_ns = self.engine.now
             if spec.on_complete_rx is not None:
                 spec.on_complete_rx(self.record)
-        # _send_ack, inlined: one ACK per delivered data packet.
+        # One ACK per delivered data packet.
         config = self.config
         ack = alloc_packet(
             spec.flow_id, spec.dst, spec.src, PacketKind.ACK, 0, 0, buffer.rcv_nxt
@@ -201,7 +200,8 @@ class ByteStreamReceiver:
         ack.color = Color.GREEN
         ack.mark = TltMark.CONTROL
         if tlt_rx is not None:
-            tlt_rx.mark_ack(ack)
+            if tlt_rx.state is not tlt_rx.IDLE:
+                tlt_rx.mark_ack(ack)  # Important (Clock) Echo
         elif config.plain_color is not None:
             ack.color = config.plain_color
             ack.mark = TltMark.NONE
@@ -215,28 +215,6 @@ class ByteStreamReceiver:
         syn_ack.color = Color.GREEN
         syn_ack.mark = TltMark.CONTROL
         self.host.send(syn_ack)
-
-    def _send_ack(self, data_packet: Packet) -> None:
-        """Out-of-line ACK generation (kept for subclasses and tests;
-        the DATA path in :meth:`on_packet` inlines this)."""
-        spec = self.spec
-        buffer = self.buffer
-        ack = alloc_packet(
-            spec.flow_id, spec.dst, spec.src, PacketKind.ACK, 0, 0, buffer.rcv_nxt
-        )
-        ack.sack = buffer.sack_blocks() if buffer.intervals else ()
-        ack.ecn_echo = data_packet.ce
-        ack.ts_echo = data_packet.ts_sent
-        ack.tclass = self.config.traffic_class
-        # Pure ACKs are control packets: always important (green).
-        ack.color = Color.GREEN
-        ack.mark = TltMark.CONTROL
-        if self.tlt_rx is not None:
-            self.tlt_rx.mark_ack(ack)
-        elif self.config.plain_color is not None:
-            ack.color = self.config.plain_color
-            ack.mark = TltMark.NONE
-        self.host.send(ack)
 
 
 class ByteStreamSender:
@@ -276,6 +254,7 @@ class ByteStreamSender:
         self.lost_queue: Deque[Segment] = deque()
         self._ca_acc = 0  # congestion-avoidance byte accumulator
         self._highest_sacked = 0  # highest SACKed sequence seen
+        self._sack_resume: dict = {}  # SACK block lo -> resume index
         self._scan_hint = 0  # first index possibly unresolved below SACK
         # Retransmitted segments awaiting ACK. An insertion-ordered dict,
         # not a set: Segment hashes by identity, so set iteration order
@@ -289,6 +268,10 @@ class ByteStreamSender:
         else:
             bdp = config.link_rate_bps * config.base_rtt_ns // 8 // 1_000_000_000
             self.max_cwnd = max(4 * bdp, 64 * mss)
+
+        # The ACK path feeds these reservoirs directly.
+        self._rtt_samples = stats.rtt_samples_fg if spec.group == "fg" else stats.rtt_samples_bg
+        self._delivery_samples = stats.delivery_samples
 
         self.rto = config.make_rto()
         self._rto_deadline: Optional[int] = None
@@ -349,26 +332,12 @@ class ByteStreamSender:
 
     # ------------------------------------------------------------ send path
 
-    def _next_candidate(self):
-        """Peek the next thing to send: a lost segment or new data.
-
-        Returns ``("retx", segment)``, ``("new", length)`` or None.
-        """
-        while self.lost_queue:
-            seg = self.lost_queue[0]
-            if seg.acked or seg.sacked or not seg.lost:
-                self.lost_queue.popleft()
-                continue
-            return ("retx", seg)
-        if self.snd_nxt < self.spec.size:
-            return ("new", min(self.mss, self.spec.size - self.snd_nxt))
-        return None
-
     def try_send(self) -> int:
         """Send as much as the window allows; returns packets sent.
 
-        Open-coded version of the :meth:`_next_candidate` walk — this
-        runs once per ACK, and the tuple returns showed up in profiles.
+        Lost segments go first, then new data. Entries that went stale
+        in ``lost_queue`` (acked, SACKed or already retransmitted) are
+        dropped from its head as they are met.
         """
         if not self.started or not self.established or self.completed:
             return 0
@@ -378,7 +347,6 @@ class ByteStreamSender:
         mss = self.mss
         spec_size = self.spec.size
         while True:
-            # Retransmissions first (same policy as _next_candidate).
             seg = None
             while lost_queue:
                 head = lost_queue[0]
@@ -438,38 +406,41 @@ class ByteStreamSender:
             if clock_mark:
                 tlt.mark_clock_data(packet)
             else:
-                tlt.mark_data(packet, self._is_last_allowed(seg))
+                # Is this the last packet the window allows right now? It
+                # is unless a pending retransmission or the next new
+                # segment still fits. Stale lost_queue heads are dropped
+                # exactly as try_send drops them.
+                lost_queue = self.lost_queue
+                while lost_queue:
+                    head = lost_queue[0]
+                    if head.acked or head.sacked or not head.lost:
+                        lost_queue.popleft()
+                        continue
+                    last = self.pipe + head.size > self.cwnd
+                    break
+                else:
+                    remaining = spec.size - self.snd_nxt
+                    next_size = self.mss if self.mss < remaining else remaining
+                    last = remaining <= 0 or self.pipe + next_size > self.cwnd
+                tlt.mark_data(packet, last)
         elif config.plain_color is not None:
             packet.color = config.plain_color
         self.host.send(packet)
-        self._arm_rto()
-        self._arm_pto()
-
-    def _is_last_allowed(self, just_sent: Segment) -> bool:
-        """True when no further send can follow right now (window edge
-        or end of data) — the packet at the tail of the current burst.
-
-        Open-coded :meth:`_next_candidate` walk (including its stale-
-        entry cleanup); this runs once per TLT-marked transmission.
-        """
-        lost_queue = self.lost_queue
-        if just_sent.end >= self.spec.size and not lost_queue:
-            return True
-        while lost_queue:
-            head = lost_queue[0]
-            if head.acked or head.sacked or not head.lost:
-                lost_queue.popleft()
-                continue
-            return self.pipe + head.size > self.cwnd
-        remaining = self.spec.size - self.snd_nxt
-        if remaining <= 0:
-            return True
-        size = self.mss if self.mss < remaining else remaining
-        return self.pipe + size > self.cwnd
+        if self._rto_deadline is None:
+            self._restart_rto()
+        if config.tlp_enabled:
+            self._arm_pto()
 
     # ------------------------------------------------------------ receive path
 
     def on_packet(self, packet: Packet) -> None:
+        """Process one ACK: RTT sample, cumulative ACK, SACK, TLT
+        echo-based loss detection, congestion control, then send.
+
+        This runs once per delivered data packet, so it is straight-line
+        code: apart from ``tlt.on_ack``, each TLT and congestion-control
+        hook is called only when its guard says it has work to do.
+        """
         if self.completed:
             return
         kind = packet.kind
@@ -488,7 +459,7 @@ class ByteStreamSender:
         if ts_echo > 0:
             rtt = now - ts_echo
             self.rto.on_rtt_sample(rtt)
-            self.stats.add_rtt_sample(rtt, self.spec.group)
+            self._rtt_samples.add(rtt)
 
         newly_acked = 0
         ack = packet.ack
@@ -498,28 +469,70 @@ class ByteStreamSender:
             self.snd_una = ack
             self.dupacks = 0
             self._probe_outstanding = False
-            self._advance_head(ack)
+            # Move the window base past every fully acknowledged segment.
+            # A segment SACKed earlier already gave its delivery sample.
+            segs = self.segments
+            idx = self._head
+            n = len(segs)
+            pipe_drop = 0
+            while idx < n:
+                seg = segs[idx]
+                if seg.end > ack:
+                    break
+                if seg.in_pipe:
+                    seg.in_pipe = False
+                    pipe_drop += seg.size
+                if not seg.sacked:
+                    self._delivery_samples.add(now - seg.first_tx_ns)
+                seg.acked = True
+                seg.lost = False
+                if seg.retx_count:
+                    self._retx_inflight.pop(seg, None)
+                idx += 1
+            self.pipe -= pipe_drop
+            self._head = idx
+            if self._scan_hint < idx:
+                self._scan_hint = idx
             if self.in_recovery and ack >= self.recover_point:
                 self.in_recovery = False
             self._restart_rto()
         elif ack == snd_una and snd_una < self.snd_nxt:
             self.dupacks += 1
 
-        sacked_bytes = self._apply_sack(packet.sack)
+        blocks = packet.sack
+        if blocks:
+            sacked_bytes = self._apply_sack(blocks)
+        else:
+            sacked_bytes = 0
+            if self._sack_resume:
+                self._sack_resume.clear()  # no islands left to resume
 
-        if tlt is not None:
+        if tlt is not None and tlt.pending_echo_ts is not None:
             # Echo-based loss detection runs once the ACK/SACK state is
             # current, so freshly acknowledged segments are not marked.
             tlt.on_ack_post(packet)
 
         config = self.config
-        # ECN echo processing (DCTCP overrides).
+        # ECN echo processing, then the end of the congestion control's
+        # observation window (both DCTCP overrides).
         if packet.ecn_echo and config.ecn:
             self.cc_on_ecn_echo(newly_acked)
-        self.cc_after_ack(newly_acked)
+        if self.snd_una >= self.cc_window_end:
+            self.cc_on_window_end()
 
         if newly_acked and not self.in_recovery:
-            self.cc_on_ack_increase(newly_acked)
+            # Reno growth: slow start below ssthresh, else 1 MSS per RTT;
+            # capped at max_cwnd (the receive-window role).
+            mss = self.mss
+            cwnd = self.cwnd
+            if cwnd < self.ssthresh:
+                cwnd += newly_acked if newly_acked < mss else mss
+            else:
+                self._ca_acc += mss * newly_acked
+                if self._ca_acc >= cwnd:
+                    self._ca_acc -= cwnd
+                    cwnd += mss
+            self.cwnd = cwnd if cwnd < self.max_cwnd else self.max_cwnd
 
         # Loss detection: dup-ACK threshold (1 = early retransmit) or
         # SACK holes below the highest SACKed sequence.
@@ -531,42 +544,21 @@ class ByteStreamSender:
             return
 
         self.try_send()
-        if tlt is not None:
-            tlt.after_ack()
-
-    def _advance_head(self, ack: int) -> None:
-        segs = self.segments
-        idx = self._head
-        n = len(segs)
-        now = self.engine.now
-        pipe_drop = 0
-        retx_pop = self._retx_inflight.pop
-        add_sample = self.stats.add_delivery_sample
-        while idx < n:
-            seg = segs[idx]
-            if seg.end > ack:
-                break
-            if seg.in_pipe:
-                seg.in_pipe = False
-                pipe_drop += seg.size
-            if not seg.delivered:
-                seg.delivered = True
-                add_sample(now - seg.first_tx_ns)
-            seg.acked = True
-            seg.lost = False
-            retx_pop(seg, None)
-            idx += 1
-        if pipe_drop:
-            self.pipe -= pipe_drop
-        self._head = idx
-        if self._scan_hint < idx:
-            self._scan_hint = idx
+        if tlt is not None and tlt.state is tlt.IMPORTANT:
+            tlt.after_ack()  # the Important state was not consumed: clock
 
     def _apply_sack(self, blocks) -> int:
-        """Mark SACKed segments. Segments are MSS-aligned, so a block's
-        first segment index is ``lo // mss`` — no window scan needed."""
-        if not blocks:
-            return 0
+        """Mark SACKed segments; returns the bytes newly SACKed.
+
+        Segments are MSS-aligned, so a block's first whole segment is
+        ``ceil(lo / mss)``. ``_sack_resume`` maps a block's ``lo`` to a
+        resume index: every segment from the block's first up to that
+        index is already SACKed. An island that grew by one segment
+        therefore costs one step, and when islands merge the scan jumps
+        over each old island from its first segment. Segments at or
+        past ``_head`` are never acked, so SACKed is the only flag that
+        can be set there.
+        """
         newly = 0
         now = self.engine.now
         segs = self.segments
@@ -574,39 +566,37 @@ class ByteStreamSender:
         head = self._head
         n = len(segs)
         pipe_drop = 0
-        retx_pop = self._retx_inflight.pop
-        add_sample = self.stats.add_delivery_sample
+        resume = self._sack_resume
+        highest = self._highest_sacked
         for lo, hi in blocks:
-            if hi > self._highest_sacked:
-                self._highest_sacked = hi
-            idx = lo // mss
+            if hi > highest:
+                highest = hi
+            idx = resume.get(lo)
+            if idx is None:
+                idx = -(-lo // mss)
             if idx < head:
                 idx = head
             while idx < n:
                 seg = segs[idx]
-                if seg.start >= hi:
+                if seg.end > hi:
                     break
-                if not (seg.acked or seg.sacked) and seg.start >= lo and seg.end <= hi:
-                    seg.sacked = True
-                    seg.lost = False
-                    if seg.in_pipe:
-                        seg.in_pipe = False
-                        pipe_drop += seg.size
-                    if not seg.delivered:
-                        seg.delivered = True
-                        add_sample(now - seg.first_tx_ns)
-                    retx_pop(seg, None)
-                    newly += seg.size
+                if seg.sacked:
+                    idx = max(idx + 1, resume.get(seg.start, 0))
+                    continue
+                seg.sacked = True
+                seg.lost = False
+                if seg.in_pipe:
+                    seg.in_pipe = False
+                    pipe_drop += seg.size
+                self._delivery_samples.add(now - seg.first_tx_ns)
+                if seg.retx_count:
+                    self._retx_inflight.pop(seg, None)
+                newly += seg.size
                 idx += 1
-        if pipe_drop:
-            self.pipe -= pipe_drop
+            resume[lo] = idx
+        self._highest_sacked = highest
+        self.pipe -= pipe_drop
         return newly
-
-    def _outstanding(self):
-        """Iterate segments at/after the head (not cumulatively acked)."""
-        segs = self.segments
-        for idx in range(self._head, len(segs)):
-            yield segs[idx]
 
     def _detect_losses(self) -> None:
         """Mark holes lost (dup-ACK threshold 1 / SACK-based).
@@ -673,7 +663,7 @@ class ByteStreamSender:
         before ``tx_time_ns`` that is still unacknowledged is lost
         (§5.1, 'guaranteed fast loss detection'). Returns bytes marked."""
         marked = 0
-        for seg in self._outstanding():
+        for seg in self.segments[self._head:]:
             if seg.acked or seg.sacked or seg.lost:
                 continue
             if seg.last_tx_ns >= 0 and seg.last_tx_ns <= tx_time_ns and seg.in_pipe:
@@ -744,7 +734,7 @@ class ByteStreamSender:
         self._ca_acc = 0
         self.in_recovery = True
         self.recover_point = self.snd_nxt
-        for seg in self._outstanding():
+        for seg in self.segments[self._head:]:
             if not (seg.acked or seg.sacked):
                 self._mark_lost(seg)
         self._rto_deadline = self.engine.now + self.rto.current
@@ -754,7 +744,7 @@ class ByteStreamSender:
     # -------------------------------------------------------------- TLP
 
     def _arm_pto(self) -> None:
-        if not self.config.tlp_enabled or self._probe_outstanding:
+        if self._probe_outstanding:
             return
         srtt = self.rto.srtt or self.config.base_rtt_ns
         pto = max(2 * srtt, self.config.tlp_pto_min_ns)
@@ -808,17 +798,9 @@ class ByteStreamSender:
         lost segment (or the first unacked one when nothing is marked
         lost). The caller (TLT controller) marks the packet.
         Returns the number of bytes sent."""
-        seg: Optional[Segment] = None
-        while self.lost_queue:
-            head = self.lost_queue[0]
-            if head.acked or head.sacked or not head.lost:
-                self.lost_queue.popleft()
-                continue
-            seg = head
-            self.lost_queue.popleft()
-            break
+        seg = self.lost_queue.popleft() if self.has_unrepaired_loss() else None
         if seg is None:
-            for cand in self._outstanding():
+            for cand in self.segments[self._head:]:
                 if not (cand.acked or cand.sacked):
                     seg = cand
                     break
@@ -845,19 +827,6 @@ class ByteStreamSender:
 
     # ------------------------------------------------------- CC hooks
 
-    def cc_on_ack_increase(self, newly_acked: int) -> None:
-        """Reno growth: slow start below ssthresh, else 1 MSS per RTT;
-        capped at ``max_cwnd`` (the receive-window role)."""
-        if self.cwnd < self.ssthresh:
-            self.cwnd += min(newly_acked, self.mss)
-        else:
-            self._ca_acc += self.mss * newly_acked
-            if self._ca_acc >= self.cwnd:
-                self._ca_acc -= self.cwnd
-                self.cwnd += self.mss
-        if self.cwnd > self.max_cwnd:
-            self.cwnd = self.max_cwnd
-
     def cc_on_loss(self) -> None:
         """Reno halving on entering fast recovery."""
         self.ssthresh = max(self.cwnd // 2, 2 * self.mss)
@@ -867,8 +836,12 @@ class ByteStreamSender:
     def cc_on_ecn_echo(self, newly_acked: int) -> None:
         """ECN reaction; vanilla TCP treats it like loss (once per window)."""
 
-    def cc_after_ack(self, newly_acked: int) -> None:
-        """Per-ACK hook for subclasses (e.g. DCTCP fraction tracking)."""
+    #: ``snd_una`` at or past this ends the observation window and calls
+    #: :meth:`cc_on_window_end`; Reno keeps no window, so never.
+    cc_window_end = 1 << 62
+
+    def cc_on_window_end(self) -> None:
+        """Once per observation window (e.g. DCTCP's alpha update)."""
 
     # ------------------------------------------------------------- completion
 

@@ -27,23 +27,25 @@ class DctcpSender(ByteStreamSender):
     def __init__(self, host: Host, spec: FlowSpec, config: TransportConfig, stats: NetStats):
         super().__init__(host, spec, config, stats)
         self.alpha = 1.0  # start conservative, as in the DCTCP paper
-        self._acked_total = 0
         self._acked_marked = 0
-        self._obs_window_end = 0
+        self._window_start = 0  # snd_una when the observation window opened
+        self.cc_window_end = 0
         self._cwr_window_end = -1
 
     # -- hooks ------------------------------------------------------------------
 
-    def cc_after_ack(self, newly_acked: int) -> None:
-        self._acked_total += newly_acked
-        if self.snd_una >= self._obs_window_end:
-            if self._acked_total > 0:
-                fraction = self._acked_marked / self._acked_total
-                g = self.config.dctcp_g
-                self.alpha = (1 - g) * self.alpha + g * fraction
-            self._acked_total = 0
-            self._acked_marked = 0
-            self._obs_window_end = self.snd_nxt
+    def cc_on_window_end(self) -> None:
+        """Fold the window's ECN-marked fraction of acked bytes into
+        alpha. Every acked byte advanced ``snd_una``, so the window's
+        acked total is the distance it moved."""
+        acked = self.snd_una - self._window_start
+        if acked > 0:
+            fraction = self._acked_marked / acked
+            g = self.config.dctcp_g
+            self.alpha = (1 - g) * self.alpha + g * fraction
+        self._acked_marked = 0
+        self._window_start = self.snd_una
+        self.cc_window_end = self.snd_nxt
 
     def cc_on_ecn_echo(self, newly_acked: int) -> None:
         self._acked_marked += newly_acked

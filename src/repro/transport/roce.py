@@ -98,6 +98,7 @@ class RoceSender:
         self.dupacks = 0
         self.lost_queue: Deque[int] = deque()
         self._highest_sacked = 0  # highest SACKed PSN bound (exclusive)
+        self._sack_resume: dict = {}  # SACK block lo -> resume PSN
         self._scan_hint = 0  # first PSN possibly unresolved below SACK
         self._retx_inflight: set = set()  # retransmitted PSNs awaiting ACK
 
@@ -335,16 +336,25 @@ class RoceSender:
             self._scan_hint = ack
 
     def _apply_sack(self, blocks) -> int:
+        """Mark SACKed PSNs, visiting each once: ``_sack_resume`` maps a
+        block's ``lo`` to the first PSN of it not yet known SACKed, and
+        a scan that meets an older island's first PSN jumps over it.
+        PSNs at or past ``snd_una`` are never acked."""
+        resume = self._sack_resume
         if not blocks:
+            resume.clear()  # no islands left to resume
             return 0
         newly = 0
         now = self.engine.now
         for lo, hi in blocks:
             if hi > self._highest_sacked:
                 self._highest_sacked = hi
-            for psn in range(max(lo, self.snd_una), min(hi, self.snd_max)):
+            psn = max(resume.get(lo, lo), self.snd_una)
+            end = min(hi, self.snd_max)
+            while psn < end:
                 st = self.states[psn]
-                if st.acked or st.sacked:
+                if st.sacked:
+                    psn = max(psn + 1, resume.get(psn, 0))
                     continue
                 st.sacked = True
                 st.lost = False
@@ -356,6 +366,8 @@ class RoceSender:
                     self.stats.add_delivery_sample(now - st.first_tx_ns)
                 self._retx_inflight.discard(psn)
                 newly += 1
+                psn += 1
+            resume[lo] = psn
         return newly
 
     def _detect_losses(self) -> None:

@@ -10,20 +10,19 @@ from __future__ import annotations
 from repro.sim.units import MICROS, MILLIS
 
 
-def _div_rtz(value: int, divisor: int) -> int:
-    """Integer division rounding toward zero (RFC 6298 EWMA steps).
-
-    Python's ``//`` floors toward -inf, so a negative EWMA delta like
-    ``-1 // 8 == -1`` would systematically drag SRTT/RTTVAR low.
-    """
-    quotient = abs(value) // divisor
-    return quotient if value >= 0 else -quotient
-
-
 class RtoEstimator:
-    """Tracks SRTT/RTTVAR and produces the current RTO."""
+    """Tracks SRTT/RTTVAR and produces the current RTO.
 
-    __slots__ = ("rto_min", "rto_max", "granularity", "srtt", "rttvar", "backoff_count")
+    ``base_rto`` (before backoff) and ``current`` (with backoff,
+    ``min(base_rto << backoff_count, rto_max)``) are stored, not
+    derived: the sender reads them on every ACK and transmission, and
+    they change only on an RTT sample or a backoff.
+    """
+
+    __slots__ = (
+        "rto_min", "rto_max", "base_max", "granularity", "srtt", "rttvar",
+        "backoff_count", "base_rto", "current",
+    )
 
     def __init__(
         self,
@@ -35,10 +34,13 @@ class RtoEstimator:
             raise ValueError("invalid RTO bounds")
         self.rto_min = rto_min
         self.rto_max = rto_max
+        self.base_max = rto_max  # upper clamp of the RTO before backoff
         self.granularity = granularity
         self.srtt = 0  # 0 means "no sample yet"
         self.rttvar = 0
         self.backoff_count = 0
+        # Conservative default before any sample.
+        self.base_rto = self.current = rto_min
 
     def on_rtt_sample(self, rtt_ns: int) -> None:
         """Feed one RTT measurement (Karn-safe samples only)."""
@@ -46,50 +48,46 @@ class RtoEstimator:
             rtt_ns = 1
         srtt = self.srtt
         if srtt == 0:
-            self.srtt = rtt_ns
-            self.rttvar = rtt_ns // 2
+            srtt = rtt_ns
+            rttvar = rtt_ns // 2
         else:
-            # _div_rtz, open-coded: this runs once per ACK-borne sample.
+            # EWMA steps divide rounding toward zero (RFC 6298): Python's
+            # // floors, and -1 // 8 == -1 would drag SRTT/RTTVAR low.
             delta = srtt - rtt_ns
             if delta < 0:
                 delta = -delta
             d = delta - self.rttvar
-            self.rttvar += d // 4 if d >= 0 else -(-d // 4)
+            rttvar = self.rttvar + (d // 4 if d >= 0 else -(-d // 4))
             d = rtt_ns - srtt
-            self.srtt += d // 8 if d >= 0 else -(-d // 8)
+            srtt += d // 8 if d >= 0 else -(-d // 8)
+        self.srtt = srtt
+        self.rttvar = rttvar
         self.backoff_count = 0
-
-    @property
-    def base_rto(self) -> int:
-        """RTO before backoff."""
-        if self.srtt == 0:
-            return self.rto_min  # conservative default before any sample
-        rto = self.srtt + max(self.granularity, 4 * self.rttvar)
-        return min(max(rto, self.rto_min), self.rto_max)
-
-    @property
-    def current(self) -> int:
-        """RTO including exponential backoff."""
-        rto = self.base_rto << self.backoff_count
-        return min(rto, self.rto_max)
+        var4 = 4 * rttvar
+        rto = srtt + (var4 if var4 > self.granularity else self.granularity)
+        if rto < self.rto_min:
+            rto = self.rto_min
+        elif rto > self.base_max:
+            rto = self.base_max
+        self.base_rto = self.current = rto
 
     def backoff(self) -> None:
         """Double the RTO after a timeout (capped by rto_max)."""
         if (self.base_rto << self.backoff_count) < self.rto_max:
             self.backoff_count += 1
+        self.current = min(self.base_rto << self.backoff_count, self.rto_max)
 
 
 class FixedRto(RtoEstimator):
     """A static RTO (the 'aggressive fixed timeout' strawman of §2.2).
 
     RTT samples are accepted (so transports can still report SRTT) but
-    never change the timeout; backoff still applies.
+    never change the timeout: the RTO before backoff is clamped to
+    ``[rto_ns, rto_ns]``. Backoff still applies, up to ``rto_max``.
     """
+
+    __slots__ = ()
 
     def __init__(self, rto_ns: int, rto_max: int = 1_000 * MILLIS):
         super().__init__(rto_min=rto_ns, rto_max=rto_max)
-        self._fixed = rto_ns
-
-    @property
-    def base_rto(self) -> int:
-        return self._fixed
+        self.base_max = rto_ns

@@ -1,5 +1,7 @@
 """Tests for RTO estimation (Linux-style SRTT/RTTVAR)."""
 
+import random
+
 import pytest
 
 from repro.sim.units import MICROS, MILLIS
@@ -122,3 +124,27 @@ def test_fixed_rto_still_backs_off():
     rto = FixedRto(160 * MICROS)
     rto.backoff()
     assert rto.current == 320 * MICROS
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stored_rto_matches_formula_after_every_update(seed):
+    """``base_rto``/``current`` are stored, not derived: after every RTT
+    sample and every backoff they must equal the RFC 6298 formula and
+    ``min(base_rto << backoff_count, rto_max)``."""
+    rng = random.Random(seed)
+    rto = RtoEstimator(rto_min=200 * MICROS, rto_max=50 * MILLIS)
+    fixed = FixedRto(160 * MICROS, rto_max=5 * MILLIS)
+    for _ in range(2_000):
+        if rng.random() < 0.2:
+            rto.backoff()
+            fixed.backoff()
+        else:
+            sample = rng.choice(
+                (0, rng.randrange(1, 20 * MILLIS), rng.randrange(10 * MICROS, 2 * MILLIS)))
+            rto.on_rtt_sample(sample)
+            fixed.on_rtt_sample(sample)
+            base = rto.srtt + max(rto.granularity, 4 * rto.rttvar)
+            assert rto.base_rto == min(max(base, rto.rto_min), rto.rto_max)
+        assert rto.current == min(rto.base_rto << rto.backoff_count, rto.rto_max)
+        assert fixed.base_rto == 160 * MICROS
+        assert fixed.current == min(160 * MICROS << fixed.backoff_count, 5 * MILLIS)
